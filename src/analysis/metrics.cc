@@ -43,10 +43,7 @@ RunMetrics& RunMetrics::MergeFrom(const RunMetrics& other) {
   return *this;
 }
 
-namespace {
-
-template <typename Container>
-void FillDecodeWaitsImpl(Container& requests) {
+void FillDecodeWaits(std::deque<Request>& requests) {
   for (Request& r : requests) {
     // LINT-ALLOW(float-equality): 0.0 is the never-filled sentinel here —
     // decode_wait is assigned exactly once, so exact-zero means "not yet"
@@ -57,8 +54,7 @@ void FillDecodeWaitsImpl(Container& requests) {
   }
 }
 
-template <typename Container>
-RunMetrics FoldRequestsImpl(const Container& requests, Duration horizon) {
+RunMetrics FoldRequests(const std::deque<Request>& requests, Duration horizon) {
   RunMetrics metrics;
   metrics.horizon = horizon;
   for (const Request& r : requests) {
@@ -103,20 +99,6 @@ RunMetrics FoldRequestsImpl(const Container& requests, Duration horizon) {
     metrics.kv_sync_samples.push_back(r.data_overhead + r.control_overhead);
   }
   return metrics;
-}
-
-}  // namespace
-
-void FillDecodeWaits(std::vector<Request>& requests) { FillDecodeWaitsImpl(requests); }
-
-void FillDecodeWaits(std::deque<Request>& requests) { FillDecodeWaitsImpl(requests); }
-
-RunMetrics FoldRequests(const std::vector<Request>& requests, Duration horizon) {
-  return FoldRequestsImpl(requests, horizon);
-}
-
-RunMetrics FoldRequests(const std::deque<Request>& requests, Duration horizon) {
-  return FoldRequestsImpl(requests, horizon);
 }
 
 }  // namespace aegaeon

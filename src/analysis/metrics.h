@@ -149,15 +149,13 @@ struct RunMetrics {
 // Folds per-request records into run metrics. `horizon` is the simulated
 // completion time of the run. Unfinished requests contribute their
 // never-generated tokens as SLO misses (they were due by the horizon).
-RunMetrics FoldRequests(const std::vector<Request>& requests, Duration horizon);
-// Deque overload: AegaeonCluster stores requests in a deque so pointers
-// stay stable under the fleet's incremental arrival injection.
+// Every system stores its requests in a deque, so pointers handed to
+// in-flight events stay stable while arrivals are appended.
 RunMetrics FoldRequests(const std::deque<Request>& requests, Duration horizon);
 
 // Derives decode_wait for completed requests as (completion - first token)
 // minus decode execution, for systems that don't track waits inline (the
 // baseline runners).
-void FillDecodeWaits(std::vector<Request>& requests);
 void FillDecodeWaits(std::deque<Request>& requests);
 
 }  // namespace aegaeon

@@ -8,11 +8,8 @@
 
 namespace aegaeon {
 
-namespace {
-
-template <typename Container>
-std::vector<ModelReport> BuildPerModelReportImpl(const Container& requests,
-                                                 const ModelRegistry& registry) {
+std::vector<ModelReport> BuildPerModelReport(const std::deque<Request>& requests,
+                                             const ModelRegistry& registry) {
   std::map<ModelId, ModelReport> by_model;
   std::map<ModelId, std::vector<double>> ttfts;
   for (const Request& r : requests) {
@@ -45,18 +42,6 @@ std::vector<ModelReport> BuildPerModelReportImpl(const Container& requests,
     rows.push_back(std::move(report));
   }
   return rows;
-}
-
-}  // namespace
-
-std::vector<ModelReport> BuildPerModelReport(const std::vector<Request>& requests,
-                                             const ModelRegistry& registry) {
-  return BuildPerModelReportImpl(requests, registry);
-}
-
-std::vector<ModelReport> BuildPerModelReport(const std::deque<Request>& requests,
-                                             const ModelRegistry& registry) {
-  return BuildPerModelReportImpl(requests, registry);
 }
 
 void PrintPerModelReport(std::ostream& os, const std::vector<ModelReport>& report) {

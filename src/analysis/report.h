@@ -5,6 +5,7 @@
 #ifndef AEGAEON_ANALYSIS_REPORT_H_
 #define AEGAEON_ANALYSIS_REPORT_H_
 
+#include <deque>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -42,9 +43,6 @@ struct ModelReport {
 
 // One report row per model that received at least one request, ordered by
 // model id.
-std::vector<ModelReport> BuildPerModelReport(const std::vector<Request>& requests,
-                                             const ModelRegistry& registry);
-// Deque overload (AegaeonCluster::requests() under the sharded fleet).
 std::vector<ModelReport> BuildPerModelReport(const std::deque<Request>& requests,
                                              const ModelRegistry& registry);
 

@@ -18,7 +18,6 @@ DedicatedCluster::DedicatedCluster(DedicatedConfig config, const ModelRegistry& 
 
 RunMetrics DedicatedCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
-  requests_.reserve(trace.size());
   for (const ArrivalEvent& event : trace) {
     Request request;
     request.id = requests_.size();

@@ -5,6 +5,7 @@
 #ifndef AEGAEON_BASELINES_DEDICATED_H_
 #define AEGAEON_BASELINES_DEDICATED_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -44,7 +45,7 @@ class DedicatedCluster {
   std::vector<std::unique_ptr<ModelServer>> servers_;
   std::vector<bool> busy_;
   std::vector<Duration> busy_time_;
-  std::vector<Request> requests_;
+  std::deque<Request> requests_;
 };
 
 }  // namespace aegaeon

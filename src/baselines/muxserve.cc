@@ -42,7 +42,6 @@ int MuxServeCluster::max_models_per_gpu() const {
 
 RunMetrics MuxServeCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
-  requests_.reserve(trace.size());
   for (const ArrivalEvent& event : trace) {
     Request request;
     request.id = requests_.size();

@@ -11,6 +11,7 @@
 #ifndef AEGAEON_BASELINES_MUXSERVE_H_
 #define AEGAEON_BASELINES_MUXSERVE_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -69,7 +70,7 @@ class MuxServeCluster {
   std::vector<int> gpu_of_model_;
   std::vector<int> server_of_model_;
   int placed_models_ = 0;
-  std::vector<Request> requests_;
+  std::deque<Request> requests_;
 };
 
 }  // namespace aegaeon

@@ -42,7 +42,6 @@ Duration ServerlessLlmCluster::BacklogEstimate() const {
 
 RunMetrics ServerlessLlmCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
-  requests_.reserve(trace.size());
   if (config_.proxy.enabled) {
     ServingProxy::Backend backend;
     backend.queue_delay = [this](const Request&) { return BacklogEstimate(); };

@@ -49,7 +49,7 @@ class ServerlessLlmCluster {
 
   RunMetrics Run(const std::vector<ArrivalEvent>& trace);
 
-  const std::vector<Request>& requests() const { return requests_; }
+  const std::deque<Request>& requests() const { return requests_; }
   const ServingProxy* proxy() const { return proxy_.get(); }
 
  private:
@@ -79,7 +79,7 @@ class ServerlessLlmCluster {
   LatencyModel latency_;
   Simulator sim_;
   std::vector<Instance> instances_;
-  std::vector<Request> requests_;
+  std::deque<Request> requests_;
   std::unique_ptr<ServingProxy> proxy_;
 };
 

@@ -34,7 +34,6 @@ double UnifiedCluster::KvBytesPerToken(ModelId model) const {
 
 RunMetrics UnifiedCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
-  requests_.reserve(trace.size());
   for (const DeployedModel& model : registry_.models()) {
     model_cache_->Warm(model.id, model.spec.weight_bytes());
   }

@@ -59,7 +59,7 @@ class UnifiedCluster {
 
   RunMetrics Run(const std::vector<ArrivalEvent>& trace);
 
-  const std::vector<Request>& requests() const { return requests_; }
+  const std::deque<Request>& requests() const { return requests_; }
 
  private:
   struct Instance {
@@ -89,7 +89,7 @@ class UnifiedCluster {
   std::unique_ptr<Node> node_;
   std::unique_ptr<ModelCache> model_cache_;
   std::vector<Instance> instances_;
-  std::vector<Request> requests_;
+  std::deque<Request> requests_;
 };
 
 }  // namespace aegaeon

@@ -12,31 +12,37 @@ namespace {
 
 int ClampShards(int shards, int cells) { return std::max(1, std::min(shards, cells)); }
 
+// Fails fast on a configuration the conservative protocol cannot run: with
+// more than one cell the dispatch latency is the epoch length, so it must be
+// positive (a zero or NaN lookahead would never advance).
+FleetConfig Validated(FleetConfig config) {
+  if (config.cells > 1 && !(config.dispatch_latency > 0.0)) {
+    std::fprintf(stderr,
+                 "ShardedFleet: dispatch_latency %g must be > 0 with %d cells "
+                 "(it is the conservative lookahead)\n",
+                 config.dispatch_latency, config.cells);
+    std::abort();
+  }
+  return config;
+}
+
 }  // namespace
 
 ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
                            const GpuSpec& gpu_spec)
-    : config_(config),
-      sharded_(ClampShards(config.shards, std::max(config.cells, 1)), config.threads),
-      mailboxes_(ClampShards(config.shards, std::max(config.cells, 1))) {
+    : config_(Validated(config)),
+      sharded_(ClampShards(config.shards, std::max(config.cells, 1)), config.threads) {
   const int cells = std::max(config_.cells, 1);
   // The dispatch channel only exists when there is more than one cell to
-  // route between; a single cell gets one unbounded (exact) epoch. The
-  // reserved channels would tighten the lookahead here once implemented.
-  CrossShardChannels channels;
-  if (cells > 1) {
-    assert(config_.dispatch_latency > 0.0 &&
-           "conservative sync needs a positive dispatch latency");
-    channels.dispatch = config_.dispatch_latency;
-  }
-  lookahead_ = ConservativeLookahead(channels);
+  // route between; a single cell gets one unbounded (exact) epoch.
+  lookahead_ = cells > 1 ? config_.dispatch_latency : kTimeNever;
 
   cells_.reserve(static_cast<size_t>(cells));
   simsan_.reserve(static_cast<size_t>(cells));
   routed_.assign(static_cast<size_t>(cells), 0);
   pending_routed_.assign(static_cast<size_t>(cells), 0);
-  delivery_batches_.reserve(static_cast<size_t>(cells));
-  delivery_time_batches_.reserve(static_cast<size_t>(cells));
+  delivery_batches_.resize(static_cast<size_t>(cells));
+  delivery_time_batches_.resize(static_cast<size_t>(cells));
   touched_cells_.reserve(static_cast<size_t>(cells));
   for (int i = 0; i < cells; ++i) {
     simsan_.push_back(std::make_unique<simsan::SimSan>());
@@ -44,8 +50,6 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
     // must already run under the cell's scope.
     simsan::ScopedInstance scope(*simsan_[static_cast<size_t>(i)]);
     cells_.push_back(std::make_unique<AegaeonCluster>(config_.cell, registry, gpu_spec));
-    delivery_batches_.emplace_back(ArenaAllocator<ArrivalEvent>(&delivery_arena_));
-    delivery_time_batches_.emplace_back(ArenaAllocator<TimePoint>(&delivery_arena_));
   }
 
   dispatcher_ = std::make_unique<LeastOutstandingDispatcher>();
@@ -59,9 +63,25 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
     return target;
   };
   hooks.deliver = [this](const ArrivalEvent& event, int target, TimePoint deliver_at) {
-    // Committed deliveries ride the fleet mailboxes like any cross-shard
-    // event; the mailbox key's time slot is the delivery time itself.
-    mailboxes_.Post(mailboxes_.Dispatcher(), target, deliver_at, event);
+    // Commit order is nondecreasing in delivery time (the Hooks contract),
+    // so appending keeps every cell's batch in the order per-arrival
+    // delivery would inject it; a violation would reorder a cell's input.
+    if (deliver_at < last_deliver_at_) {
+      std::fprintf(stderr,
+                   "ShardedFleet: delivery at %.17g precedes an earlier commit at %.17g\n",
+                   deliver_at, last_deliver_at_);
+      std::abort();
+    }
+    last_deliver_at_ = deliver_at;
+    const size_t cell = static_cast<size_t>(target);
+    if (delivery_batches_[cell].empty()) {
+      touched_cells_.push_back(target);
+    }
+    delivery_batches_[cell].push_back(event);
+    // Injected at the committed delivery time: normal routes land at
+    // arrival + dispatch_latency, failover replays at the successor's
+    // re-dispatch time.
+    delivery_time_batches_[cell].push_back(deliver_at);
   };
   hooks.unroute = [this](int target) { --pending_routed_[static_cast<size_t>(target)]; };
   ctrl_ = std::make_unique<ControlPlane>(config_.ctrl, config_.dispatch_latency,
@@ -139,27 +159,17 @@ ShardedSim::EpochPlan ShardedFleet::PlanEpoch() {
       ctrl_->Offer(trace[next_arrival_++]);
     }
     ctrl_->Drain();
-    DeliverMailboxes();
+    InjectDeliveries();
     return plan;
   }
   // Next observable time: the earliest unrouted arrival or pending
   // control-plane effect (an in-flight delivery, or — while leaderless —
   // the next protocol event that can elect a leader and replay). Cells
-  // cannot emit cross-shard traffic today (no cell-originated channel is
-  // implemented), so cell-local events never bound the window — unless a
-  // reserved cross_cell_* channel is enabled, in which case every cell's
-  // earliest event becomes observable and router batching would leak stale
-  // state: collapse to exact one-slot windows.
+  // emit no cross-cell traffic, so cell-local events never bound the window.
   TimePoint next_observable =
       next_arrival_ < trace.size() ? trace[next_arrival_].time : kTimeNever;
   next_observable = std::min(next_observable, ctrl_->NextPendingTime());
-  int quantum = config_.epoch_skipping ? std::max(config_.route_quantum, 1) : 1;
-  if (config_.cross_cell_kv || config_.cross_cell_autoscale) {
-    for (const std::unique_ptr<AegaeonCluster>& cell : cells_) {
-      next_observable = std::min(next_observable, cell->NextEventTime());
-    }
-    quantum = 1;
-  }
+  const int quantum = config_.epoch_skipping ? std::max(config_.route_quantum, 1) : 1;
   // Snap the window to the lookahead grid slot holding the next observable
   // time, then extend it to `quantum` slots. Grid times are a pure function
   // of (trace, lookahead, quantum, fault plan), so every shard count sees
@@ -185,35 +195,16 @@ ShardedSim::EpochPlan ShardedFleet::PlanEpoch() {
   // dispatcher crashes (which un-route the in-flight log back into the
   // queue), elections, and the successor's replays.
   ctrl_->AdvanceTo(horizon);
-  DeliverMailboxes();
+  InjectDeliveries();
   barrier_ = horizon;
   plan.horizon = horizon;
   return plan;
 }
 
-void ShardedFleet::DeliverMailboxes() {
-  // Collected order is (time, source, seq) == commit order here (single
-  // serial dispatcher source, nondecreasing delivery times), so per-cell
-  // batches preserve exactly the order per-arrival delivery would have
-  // injected.
-  mailboxes_.CollectInto(collected_);
-  if (collected_.empty()) {
-    return;
-  }
-  for (const CrossShardEvent<ArrivalEvent>& event : collected_) {
-    ArrivalBatch& batch = delivery_batches_[static_cast<size_t>(event.target)];
-    if (batch.empty()) {
-      touched_cells_.push_back(event.target);
-    }
-    batch.push_back(event.payload);
-    // Inject at the committed delivery time (== the mailbox slot): normal
-    // routes land at arrival + dispatch_latency, failover replays at the
-    // successor's re-dispatch time.
-    delivery_time_batches_[static_cast<size_t>(event.target)].push_back(event.time);
-  }
+void ShardedFleet::InjectDeliveries() {
   for (const int target : touched_cells_) {
-    ArrivalBatch& batch = delivery_batches_[static_cast<size_t>(target)];
-    TimeBatch& times = delivery_time_batches_[static_cast<size_t>(target)];
+    std::vector<ArrivalEvent>& batch = delivery_batches_[static_cast<size_t>(target)];
+    std::vector<TimePoint>& times = delivery_time_batches_[static_cast<size_t>(target)];
     AegaeonCluster& cell = *cells_[static_cast<size_t>(target)];
     simsan::ScopedInstance scope(*simsan_[static_cast<size_t>(target)]);
     cell.InjectArrivals(batch.data(), times.data(), batch.size());
@@ -246,6 +237,7 @@ RunMetrics ShardedFleet::Run(const std::vector<ArrivalEvent>& trace) {
   trace_ = &trace;
   next_arrival_ = 0;
   barrier_ = 0.0;
+  last_deliver_at_ = -kTimeNever;
   {
     MutexLock lock(overrun_mu_);
     sync_overruns_ = 0;

@@ -7,8 +7,8 @@
 // fleet dispatcher routes every arrival to a cell chosen by a pluggable
 // Dispatcher policy (ctrl/dispatcher.h; default: least outstanding work);
 // routed requests reach their cell after `dispatch_latency` (the fleet
-// router / network hop). Cells never interact otherwise — KV migration and
-// autoscaling stay cell-local (the cross_cell_* flags reserve the channels).
+// router / network hop). Dispatch is the only cross-cell channel: KV
+// migration and autoscaling stay cell-local, as in the paper's pools.
 //
 // Control plane. Every arrival flows through a replicated ControlPlane
 // (ctrl/control_plane.h): with `ctrl.replicas` == 1 and no scheduled
@@ -24,20 +24,20 @@
 // Parallelism. The cells are grouped into `shards` contiguous groups; a
 // shard is the unit of parallel execution, nothing more. Execution proceeds
 // in epochs: a serial barrier stage dispatches the next window of arrivals
-// (through deterministic EpochMailboxes), then every shard with runnable
-// work advances its cells to the epoch horizon on a gang of persistent
-// workers. The epoch window is a whole number of conservative-lookahead
-// slots (lookahead = the minimum enabled cross-cell channel latency, i.e.
-// `dispatch_latency`): the barrier snaps past slots in which nothing
+// and injects each committed delivery into its cell, then every shard with
+// runnable work advances its cells to the epoch horizon on a gang of
+// persistent workers. The epoch window is a whole number of
+// conservative-lookahead slots (lookahead = `dispatch_latency`, the one
+// cross-cell channel): the barrier snaps past slots in which nothing
 // observable happens and, with `epoch_skipping` on, batches up to
-// `route_quantum` slots of router decisions per barrier. Everything a cell
-// does within an epoch is invisible to other cells until after the barrier
-// (no enabled cell-originated channel), so the parallel advance cannot
-// reorder observable events.
+// `route_quantum` slots of router decisions per barrier. Cells emit nothing
+// another cell can observe, so the parallel advance cannot reorder
+// observable events.
 //
-// Determinism. Epoch boundaries, dispatch decisions, mailbox order, and
-// the per-cell idle-skip probe are computed serially from trace + cell
-// state alone; shards own disjoint state during the advance. RunMetrics
+// Determinism. Epoch boundaries, dispatch decisions, delivery order (the
+// control plane's commit order, nondecreasing in delivery time), and the
+// per-cell idle-skip probe are computed serially from trace + cell state
+// alone; shards own disjoint state during the advance. RunMetrics
 // are therefore bit-identical for every shard count, including shards == 1,
 // and every worker count. `route_quantum` IS part of the simulated
 // configuration (it widens the dispatcher's snapshot staleness bound to
@@ -68,10 +68,8 @@
 #include "ctrl/control_plane.h"
 #include "ctrl/dispatcher.h"
 #include "hw/gpu_spec.h"
-#include "mem/bump_allocator.h"
 #include "model/registry.h"
 #include "sanitizer/simsan.h"
-#include "sim/mailbox.h"
 #include "sim/sharded_sim.h"
 #include "sim/time.h"
 
@@ -90,12 +88,8 @@ struct FleetConfig {
   // the outer pool with ParallelSweep::ThreadsForNested(shards).
   int threads = 0;
   // Latency of the fleet router -> cell hop; the conservative lookahead.
-  // Must be > 0 when cells > 1.
+  // Must be > 0 when cells > 1 (the constructor aborts otherwise).
   Duration dispatch_latency = 0.05;
-  // Reserved cross-cell channels (would tighten the lookahead when enabled;
-  // no fleet-level implementation yet).
-  bool cross_cell_kv = false;
-  bool cross_cell_autoscale = false;
   // Epoch-skipping conservative sync. Off: one barrier per occupied
   // lookahead slot and every cell advances (and pins its clock) every
   // epoch — the exact pre-skip protocol. On: the barrier batches router
@@ -105,9 +99,6 @@ struct FleetConfig {
   // at ~route_quantum * dispatch_latency, so it is part of the simulated
   // configuration: results are bit-identical across shards/threads for any
   // fixed value, but differ between values (and between skipping on/off).
-  // Forced to 1 whenever a cell-originated channel (cross_cell_*) is
-  // enabled, because then cells can emit observable cross-shard traffic
-  // mid-window.
   bool epoch_skipping = true;
   int route_quantum = 4;
   // Dispatcher replication (ctrl/control_plane.h). The default (1 replica,
@@ -173,23 +164,20 @@ class ShardedFleet {
   FleetAudit audit() const;
 
  private:
-  using ArrivalBatch = std::vector<ArrivalEvent, ArenaAllocator<ArrivalEvent>>;
-  using TimeBatch = std::vector<TimePoint, ArenaAllocator<TimePoint>>;
-
   // Contiguous [begin, end) cell range owned by `shard`.
   void ShardRange(int shard, int* begin, int* end) const;
   // Serial barrier stage: offers every arrival in the next epoch window to
   // the control plane, advances the protocol to the window's horizon,
-  // delivers the mailboxes, and returns the horizon (kTimeNever to request
-  // the final drain epoch) plus the slots it skipped.
+  // injects the committed deliveries, and returns the horizon (kTimeNever
+  // to request the final drain epoch) plus the slots it skipped.
   ShardedSim::EpochPlan PlanEpoch();
   // Outstanding load of one cell as the dispatcher sees it: injected minus
   // settled plus routed-but-undelivered (pending_routed_).
   uint64_t CellLoad(int cell) const;
-  // Delivers the barrier's mailbox content into the target cells, one
+  // Injects the deliveries committed at this barrier into their cells, one
   // batched InjectArrivals per touched cell, each event at its own
   // committed delivery time.
-  void DeliverMailboxes();
+  void InjectDeliveries();
   // True when any cell of `shard` can process an event at or before
   // `horizon` (serial barrier stage only).
   bool ShardHasWork(int shard, TimePoint horizon);
@@ -200,7 +188,6 @@ class ShardedFleet {
   std::vector<std::unique_ptr<AegaeonCluster>> cells_;
   // One checker per cell; shadow state follows the cell, not the thread.
   std::vector<std::unique_ptr<simsan::SimSan>> simsan_;
-  EpochMailboxes<ArrivalEvent> mailboxes_;
   // Routing policy + replicated control plane (both barrier-stage only).
   std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<ControlPlane> ctrl_;
@@ -217,16 +204,16 @@ class ShardedFleet {
   // RouteArrival's load so batched delivery sees the same arithmetic as
   // per-arrival delivery.
   std::vector<uint64_t> pending_routed_;
-  // Barrier-stage scratch, all capacity-retaining / arena-backed so the
-  // steady-state epoch loop performs no heap allocation: the collected
-  // mailbox events, one ArrivalEvent batch (plus its parallel delivery-time
-  // batch) per cell, and the list of cells touched this epoch (in
+  // Barrier-stage delivery scratch, capacity-retaining so the steady-state
+  // epoch loop performs no heap allocation: one ArrivalEvent batch (plus
+  // its parallel delivery-time batch) per cell, filled in commit order by
+  // the control plane's deliver hook, and the cells touched this epoch (in
   // first-delivery order).
-  BumpArena delivery_arena_;
-  std::vector<CrossShardEvent<ArrivalEvent>> collected_;
-  std::vector<ArrivalBatch> delivery_batches_;
-  std::vector<TimeBatch> delivery_time_batches_;
+  std::vector<std::vector<ArrivalEvent>> delivery_batches_;
+  std::vector<std::vector<TimePoint>> delivery_time_batches_;
   std::vector<int> touched_cells_;
+  // Latest committed delivery time this run; deliveries must not go back.
+  TimePoint last_deliver_at_ = -kTimeNever;
 
   // Incremented from parallel advances (cold path: overruns mean the
   // conservative-sync protocol itself is broken); read by audit(). The

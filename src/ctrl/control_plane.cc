@@ -16,8 +16,7 @@ constexpr int kToLeader = -1;
 ControlPlane::ControlPlane(ControlPlaneConfig config, Duration dispatch_latency, Hooks hooks)
     : config_(config),
       dispatch_latency_(dispatch_latency),
-      hooks_(std::move(hooks)),
-      network_(std::max(config.replicas, 1)) {
+      hooks_(std::move(hooks)) {
   config_.replicas = std::max(config_.replicas, 1);
 }
 
@@ -41,11 +40,10 @@ void ControlPlane::ScheduleLeaderCrash(TimePoint when, Duration downtime) {
 
 void ControlPlane::Begin() {
   // Drop anything a previous run left in the transport.
-  network_.CollectInto(net_scratch_);
-  net_scratch_.clear();
   while (!inbox_.empty()) {
     inbox_.pop();
   }
+  send_seq_.assign(static_cast<size_t>(config_.replicas) + 1, 0);
   replicas_.assign(static_cast<size_t>(config_.replicas), Replica{});
   queued_.clear();
   log_.clear();
@@ -68,7 +66,7 @@ void ControlPlane::Begin() {
     Msg msg;
     msg.kind = MsgKind::kCrash;
     msg.marker = i;
-    Send(network_.Dispatcher(), kToLeader, crash_plans_[i].when, msg);
+    Send(FaultSource(), kToLeader, crash_plans_[i].when, msg);
   }
 }
 
@@ -77,15 +75,13 @@ TimePoint ControlPlane::NextCrashTime() const {
 }
 
 void ControlPlane::Send(uint32_t from, int target, TimePoint at, Msg msg) {
-  network_.Post(from, target, at, msg);
-}
-
-void ControlPlane::PumpNetwork() {
-  network_.CollectInto(net_scratch_);
-  for (NetEvent& event : net_scratch_) {
-    inbox_.push(event);
-  }
-  net_scratch_.clear();
+  NetEvent event;
+  event.time = at;
+  event.source = from;
+  event.seq = send_seq_[from]++;
+  event.target = target;
+  event.payload = msg;
+  inbox_.push(event);
 }
 
 void ControlPlane::ArmTimer(uint32_t replica, TimePoint now) {
@@ -199,8 +195,8 @@ void ControlPlane::CrashLeader(TimePoint now, Duration downtime) {
   CheckCapacity();
   Msg msg;
   msg.kind = MsgKind::kRecover;
-  msg.from = network_.Dispatcher();
-  Send(network_.Dispatcher(), static_cast<int>(dead), now + downtime, msg);
+  msg.from = FaultSource();
+  Send(FaultSource(), static_cast<int>(dead), now + downtime, msg);
   leader_ = -1;
   down_since_ = now;
 }
@@ -335,7 +331,6 @@ void ControlPlane::Handle(const NetEvent& net) {
 }
 
 void ControlPlane::AdvanceTo(TimePoint t) {
-  PumpNetwork();
   while (true) {
     const TimePoint next_msg = inbox_.empty() ? kTimeNever : inbox_.top().time;
     // Due deliveries commit ahead of any same-time message: a delivery
@@ -351,7 +346,6 @@ void ControlPlane::AdvanceTo(TimePoint t) {
     inbox_.pop();
     now_ = event.time;
     Handle(event);
-    PumpNetwork();
   }
   if (t < kTimeNever && t > now_) {
     now_ = t;
@@ -371,7 +365,7 @@ void ControlPlane::Offer(const ArrivalEvent& event) {
   CheckCapacity();
 }
 
-TimePoint ControlPlane::NextPendingTime() {
+TimePoint ControlPlane::NextPendingTime() const {
   if (!log_.empty()) {
     // The in-flight delivery is the earliest external effect (queued
     // arrivals can only be routed at an even later leader transition).
@@ -382,7 +376,6 @@ TimePoint ControlPlane::NextPendingTime() {
   }
   // Leaderless with arrivals waiting: the next internal event (recovery,
   // timeout, vote) is what can eventually produce a leader and a replay.
-  PumpNetwork();
   if (inbox_.empty()) {
     std::fprintf(stderr,
                  "ControlPlane: %zu arrival(s) queued but no event can ever elect a "

@@ -7,14 +7,6 @@
 
 namespace aegaeon {
 
-Duration ConservativeLookahead(const CrossShardChannels& channels, Duration floor) {
-  Duration lookahead = std::min({channels.dispatch, channels.kv_migration, channels.autoscale});
-  if (lookahead >= kTimeNever) {
-    return kTimeNever;
-  }
-  return std::max(lookahead, floor);
-}
-
 ShardedSim::ShardedSim(int shards, int threads)
     : shards_(std::max(shards, 1)),
       // Default gang width: never more workers than shards (the extras would

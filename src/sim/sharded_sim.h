@@ -3,18 +3,19 @@
 // The fleet (src/core/fleet.h) partitions a large GPU pool into cells and
 // groups the cells into K shards. Each shard owns its own event queues and
 // advances independently — but only up to a horizon no shard may cross, the
-// *conservative lookahead*: the minimum latency of any channel through which
-// one shard can affect another (request dispatch, KV migration, autoscale
-// decisions). Anything a shard does before the horizon cannot be observed by
-// another shard until at least one lookahead later, so running the shards in
-// parallel within an epoch cannot reorder observable events.
+// *conservative lookahead*: the latency of the only channel through which
+// one shard can affect another, request dispatch. Anything a shard does
+// before the horizon cannot be observed by another shard until at least one
+// lookahead later, so running the shards in parallel within an epoch cannot
+// reorder observable events.
 //
 // ShardedSim is the executor for that protocol. Run() alternates two stages:
 //
 //   1. a serial *barrier stage* (`plan`) that runs with every shard quiescent
-//      at the barrier time — it delivers cross-shard mailboxes, makes
-//      dispatch decisions, and picks the next horizon (possibly skipping
-//      over lookahead slots in which nothing observable happens);
+//      at the barrier time — it makes dispatch decisions, delivers the
+//      dispatched arrivals to their cells, and picks the next horizon
+//      (possibly skipping over lookahead slots in which nothing observable
+//      happens);
 //   2. a parallel *advance stage* (`advance`) that runs every shard with
 //      runnable work up to that horizon on a gang of persistent workers
 //      (ShardGang); shards the serial `has_work` probe marks idle are not
@@ -46,23 +47,6 @@
 #include "sim/time.h"
 
 namespace aegaeon {
-
-// Latencies of the channels through which one shard can affect another.
-// kTimeNever marks a channel disabled (no such interaction in this
-// configuration). The conservative lookahead is the minimum enabled latency;
-// if every channel is disabled the shards never interact and a single
-// unbounded epoch is exact.
-struct CrossShardChannels {
-  Duration dispatch = kTimeNever;      // fleet dispatcher -> cell injection
-  Duration kv_migration = kTimeNever;  // cross-cell KV transfer (reserved)
-  Duration autoscale = kTimeNever;     // fleet-level scaling loop (reserved)
-};
-
-// Minimum enabled channel latency; kTimeNever when all channels are
-// disabled. A zero-latency enabled channel is a configuration error (the
-// conservative protocol would make no progress) and is clamped to the
-// smallest positive epoch the caller provides via `floor`.
-Duration ConservativeLookahead(const CrossShardChannels& channels, Duration floor = 1e-6);
 
 class ShardedSim {
  public:

@@ -64,7 +64,7 @@ class Simulator {
 
   // Bulk-schedules a batch in input order (FIFO tie-break preserved),
   // clamping past timestamps to Now() like At(). Used by trace loading and
-  // the sharded simulator's epoch-boundary mailbox delivery, where pushing
+  // the sharded fleet's epoch-boundary arrival delivery, where pushing
   // thousands of arrivals one heap sift at a time would dominate the
   // barrier stage.
   void ScheduleBatch(std::vector<EventQueue::Pending> batch);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
 
 #include "analysis/metrics.h"
@@ -43,7 +44,7 @@ TEST(StatsTest, CdfIsMonotone) {
 }
 
 TEST(MetricsTest, FoldCountsTokensAndCompletion) {
-  std::vector<Request> requests(2);
+  std::deque<Request> requests(2);
   requests[0].output_tokens = 10;
   requests[0].generated = 10;
   requests[0].tokens_met = 8;
@@ -65,7 +66,7 @@ TEST(MetricsTest, FoldCountsTokensAndCompletion) {
 }
 
 TEST(MetricsTest, FillDecodeWaitsDerivesResidual) {
-  std::vector<Request> requests(1);
+  std::deque<Request> requests(1);
   Request& r = requests[0];
   r.output_tokens = 10;
   r.generated = 10;

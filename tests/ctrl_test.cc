@@ -331,6 +331,40 @@ TEST(ControlPlaneTest, RepeatedCrashesFailOverEachTime) {
   EXPECT_EQ(ctrl.term(), 3u);  // one fresh term per election
 }
 
+// The delivery contract the fleet relies on (Hooks::deliver): commits
+// arrive in nondecreasing deliver_at order, including across repeated
+// failovers with replays and outage queues, so the fleet can append each
+// delivery to its cell's batch without re-sorting.
+TEST(ControlPlaneTest, DeliveriesNondecreasingThroughRepeatedCrashes) {
+  for (int replicas : {3, 5}) {
+    HookLog log;
+    ControlPlane ctrl(Replicated(replicas), kHop, log.Hooks());
+    // Short and long outages, one crash landing inside another's election.
+    ctrl.ScheduleLeaderCrash(10.0, 5.0);
+    ctrl.ScheduleLeaderCrash(12.5, 3.0);
+    ctrl.ScheduleLeaderCrash(30.0, 20.0);
+    ctrl.ScheduleLeaderCrash(55.02, 1.0);
+    ctrl.ScheduleLeaderCrash(70.0, 5.0);
+    ctrl.Begin();
+    int offered = 0;
+    for (TimePoint t = 0.0; t < 80.0; t += 0.013) {
+      ctrl.Offer(At(t, offered % 4));
+      ++offered;
+      if (offered % 50 == 0) {
+        ctrl.AdvanceTo(t + 0.02);  // barrier-style advances between offers
+      }
+    }
+    ctrl.Drain();
+    ASSERT_EQ(log.deliveries.size(), static_cast<size_t>(offered)) << replicas;
+    for (size_t i = 1; i < log.deliveries.size(); ++i) {
+      ASSERT_LE(log.deliveries[i - 1].at, log.deliveries[i].at)
+          << "replicas " << replicas << " delivery " << i;
+    }
+    EXPECT_GE(ctrl.stats().failovers, 4u) << replicas;
+    EXPECT_GT(ctrl.stats().redispatched_requests, 0u) << replicas;
+  }
+}
+
 TEST(ControlPlaneTest, BeginResetsProtocolStateBetweenRuns) {
   HookLog log;
   ControlPlane ctrl(Replicated(3), kHop, log.Hooks());

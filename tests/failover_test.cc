@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cluster.h"
@@ -104,6 +106,33 @@ void ExpectAllComplete(const ShardedFleet& fleet, const RunMetrics& metrics,
   EXPECT_EQ(pooled, trace_size);
 }
 
+// Every request's placement and timeline, in cell order: cell, id, model,
+// exact (hex) arrival / first-token / completion times and met tokens.
+std::string RequestFingerprint(const ShardedFleet& fleet) {
+  std::string text;
+  char line[192];
+  for (int c = 0; c < fleet.cells(); ++c) {
+    for (const Request& r : fleet.cell(c).requests()) {
+      std::snprintf(line, sizeof(line), "%d %llu %u %a %a %a %lld\n", c,
+                    static_cast<unsigned long long>(r.id), static_cast<unsigned>(r.model),
+                    r.arrival, r.first_token_time, r.completion,
+                    static_cast<long long>(r.tokens_met));
+      text += line;
+    }
+  }
+  return text;
+}
+
+// FNV-1a, so a golden fingerprint fits in one constant.
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char ch : text) {
+    hash ^= static_cast<unsigned char>(ch);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
 // Golden: a replicated-but-unfaulted control plane must not perturb the
 // simulation — replicas {1, 3} produce bit-identical results (heartbeat
 // traffic exists but never reaches a cell or bounds an epoch).
@@ -182,6 +211,43 @@ TEST(FailoverTest, CrashStormCompletesEveryRequest) {
     max_ttft = std::max(max_ttft, ttft);
   }
   EXPECT_GT(max_ttft, metrics.ctrl.leader_downtime);
+}
+
+// Golden per-request outcome of a 16-cell crash storm: two dispatcher
+// crashes (one with in-flight arrivals to replay) plus instance failures
+// in three cells. The fingerprint pins where every request went and when
+// it was served, and must not depend on the shard count.
+TEST(FailoverTest, CrashStormFingerprintIsGoldenAcrossShardCounts) {
+  ModelRegistry registry = ModelRegistry::MidSizeMarket(12);
+  std::vector<ArrivalEvent> trace = CrashStraddlingTrace(registry, 40.0);
+  const std::vector<ArrivalEvent> extra =
+      GeneratePoisson(registry, 2.4, 90.0, Dataset::ShareGpt(), 41);
+  trace.insert(trace.end(), extra.begin(), extra.end());
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const ArrivalEvent& a, const ArrivalEvent& b) { return a.time < b.time; });
+  std::vector<std::string> prints;
+  for (int shards : {1, 2, 4}) {
+    FleetConfig config = SmallFleet(16, shards);
+    config.ctrl.replicas = 3;
+    ShardedFleet fleet(config, registry, GpuSpec::H800());
+    fleet.ScheduleDispatcherCrash(40.0, /*downtime=*/10.0);
+    fleet.ScheduleDispatcherCrash(65.0, /*downtime=*/4.0);
+    fleet.ScheduleCellFailure(/*cell=*/3, /*prefill_partition=*/false, /*index=*/1,
+                              /*when=*/30.0, /*downtime=*/25.0);
+    fleet.ScheduleCellFailure(/*cell=*/9, /*prefill_partition=*/true, /*index=*/0,
+                              /*when=*/41.0, /*downtime=*/12.0);
+    fleet.ScheduleCellFailure(/*cell=*/15, /*prefill_partition=*/false, /*index=*/0,
+                              /*when=*/60.0, /*downtime=*/10.0);
+    const RunMetrics metrics = fleet.Run(trace);
+    ExpectAllComplete(fleet, metrics, trace.size());
+    EXPECT_EQ(metrics.ctrl.failovers, 2u);
+    EXPECT_GT(metrics.ctrl.redispatched_requests, 0u);
+    prints.push_back(RequestFingerprint(fleet));
+  }
+  EXPECT_EQ(prints[1], prints[0]);
+  EXPECT_EQ(prints[2], prints[0]);
+  EXPECT_EQ(Fnv1a(prints[0]), 0x89c4560c0bb7b1c0ull)
+      << "fingerprint hash 0x" << std::hex << Fnv1a(prints[0]);
 }
 
 // FaultPlan::ApplyTo is the scripted form of the kill switches above.

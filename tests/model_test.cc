@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -21,6 +22,11 @@ struct Table1Row {
   std::string shape;
   double kv_kb;
 };
+
+// Print the model name, not gtest's default byte dump: the dump includes the
+// std::string's heap/stack pointers, which vary between runs and would make
+// the discovered test names unstable.
+void PrintTo(const Table1Row& row, std::ostream* os) { *os << row.spec.name; }
 
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 

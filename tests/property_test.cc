@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/cluster.h"
@@ -25,6 +26,14 @@ struct SweepParam {
   int residents;
   int64_t chunk;
 };
+
+// Print the fields, not gtest's default byte dump: the dump includes the
+// padding after `models`, whose contents vary between builds and would make
+// the discovered test names unstable.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << ::testing::PrintToString(std::make_tuple(p.seed, p.models, p.rps, p.prefill, p.decode,
+                                                  p.nodes, p.residents, p.chunk));
+}
 
 class ClusterPropertyTest : public ::testing::TestWithParam<SweepParam> {};
 

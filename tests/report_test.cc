@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <sstream>
 
 #include "analysis/report.h"
@@ -17,7 +18,7 @@ namespace {
 
 TEST(ReportTest, PerModelRowsAggregateCorrectly) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(4);
-  std::vector<Request> requests(3);
+  std::deque<Request> requests(3);
   requests[0].model = 1;
   requests[0].output_tokens = 10;
   requests[0].generated = 10;
@@ -49,7 +50,7 @@ TEST(ReportTest, PerModelRowsAggregateCorrectly) {
 
 TEST(ReportTest, PrintedTableContainsModelNames) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(2);
-  std::vector<Request> requests(1);
+  std::deque<Request> requests(1);
   requests[0].model = 0;
   requests[0].output_tokens = 4;
   requests[0].generated = 4;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "core/decode_scheduler.h"
@@ -224,6 +226,13 @@ struct QuotaSweepParam {
   double tbt;
   double c;
 };
+
+// Print the fields, not gtest's default byte dump: the dump includes the
+// padding after `batches`, whose contents vary between builds and would make
+// the discovered test names unstable.
+void PrintTo(const QuotaSweepParam& p, std::ostream* os) {
+  *os << ::testing::PrintToString(std::make_tuple(p.batches, p.step_time, p.tbt, p.c));
+}
 
 class QuotaSweepTest : public ::testing::TestWithParam<QuotaSweepParam> {};
 
