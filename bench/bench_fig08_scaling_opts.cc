@@ -57,7 +57,7 @@ TierResult MeasureTierIsolated(OptLevel level, bool prefetch) {
   LatencyModel latency(GpuSpec::H800());
   ModelCache cache(1536.0 * kGiB, 1.2e9);
   for (const DeployedModel& model : registry.models()) {
-    cache.Warm(model.id, model.spec.weight_bytes());
+    cache.Load(model.id, model.spec.weight_bytes());
   }
   return MeasureTier(level, prefetch, registry, latency, cache);
 }

@@ -17,10 +17,13 @@
 //      ratio (off / on) is the machine-independent handle for the >= 2x
 //      reduction gate in tools/run_benches.sh.
 //   4. A machine-normalized regression handle: the ratio of single-shard
-//      fleet throughput to a plain 16-GPU AegaeonCluster run measured in
-//      the same process. Comparing ratios keeps the gate meaningful on
-//      machines slower or noisier than the baseline box (same approach as
-//      bench_sim_perf's current/legacy ratio).
+//      1024-GPU fleet throughput to a plain 16-GPU AegaeonCluster run
+//      measured in the same process. Comparing ratios keeps the gate
+//      meaningful on machines slower or noisier than the baseline box
+//      (same approach as bench_sim_perf's current/legacy ratio). The two
+//      sides are timed in alternating pairs and the gate reads the median
+//      of the per-pair ratios, so a slow spell on a shared box hits both
+//      sides of a pair instead of only one of them.
 //
 // Speedup gates live in tools/run_benches.sh and consult
 // hardware_concurrency: on < 4 cores the gang runs (nearly) inline, so
@@ -55,6 +58,7 @@ constexpr uint64_t kSeed = 2025;
 constexpr int kGpusPerCell = 4;  // 2 prefill + 2 decode instances
 constexpr int kRepeats = 3;      // timed repeats per point; wall = min
 constexpr int kEpochGatePool = 256;  // pool for the epoch-reduction handle
+constexpr int kRatioPairs = 5;       // alternating reference/fleet pairs
 
 AegaeonConfig CellConfig() {
   AegaeonConfig config;
@@ -221,6 +225,58 @@ bool SingleCellMatchesPlainCluster() {
   return ok;
 }
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid] : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+struct PairedRatio {
+  uint64_t ref_events = 0;
+  double ref_eps = 0.0;    // median over the pairs
+  double fleet_eps = 0.0;  // median over the pairs
+  double ratio = 0.0;      // median of the per-pair fleet/reference ratios
+};
+
+// The regression handle: kRatioPairs alternating runs of a plain 16-GPU
+// cluster (paper split: 6 prefill + 10 decode) and a single-shard fleet of
+// `gpus` GPUs, each pair timed back to back.
+PairedRatio MeasurePairedRatio(int gpus) {
+  ModelRegistry ref_registry = ModelRegistry::MidSizeMarket(8);
+  const std::vector<ArrivalEvent> ref_trace =
+      GeneratePoisson(ref_registry, kRpsPerModel, kTraceHorizon, Dataset::ShareGpt(), kSeed);
+  const int cells = gpus / kGpusPerCell;
+  ModelRegistry registry = ModelRegistry::MidSizeMarket(std::max(8, cells * 2));
+  const std::vector<ArrivalEvent> trace =
+      GeneratePoisson(registry, kRpsPerModel, kTraceHorizon, Dataset::ShareGpt(), kSeed);
+  FleetConfig config;
+  config.cells = cells;
+  config.shards = 1;
+  config.cell = CellConfig();
+
+  PairedRatio result;
+  std::vector<double> ref_eps;
+  std::vector<double> fleet_eps;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kRatioPairs; ++pair) {
+    AegaeonCluster reference(AegaeonConfig{}, ref_registry, GpuSpec::H800());
+    RunMetrics ref_metrics = reference.Run(ref_trace);
+    result.ref_events = ref_metrics.sim.events_processed;
+    double wall = 0.0;
+    const Signature sig = TimedFleetRun(config, registry, trace, &wall);
+    const double eps = wall > 0.0 ? static_cast<double>(sig.events) / wall : 0.0;
+    ref_eps.push_back(ref_metrics.sim.EventsPerSec());
+    fleet_eps.push_back(eps);
+    ratios.push_back(ref_eps.back() > 0.0 ? eps / ref_eps.back() : 0.0);
+    std::printf("  pair %d: reference %9.0f ev/s, %d-GPU fleet %9.0f ev/s, ratio %.3f\n", pair,
+                ref_eps.back(), gpus, eps, ratios.back());
+  }
+  result.ref_eps = Median(ref_eps);
+  result.fleet_eps = Median(fleet_eps);
+  result.ratio = Median(ratios);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,24 +290,6 @@ int main(int argc, char** argv) {
   std::printf("    pool sweep x shards, cell = %d GPUs, %.2f rps/model (1 model per 2 GPUs), "
               "%.0fs trace\n\n",
               kGpusPerCell, kRpsPerModel, kTraceHorizon);
-
-  // Machine-speed reference: a plain 16-GPU cluster run in-process, best of
-  // kRepeats (EventsPerSec uses the run's own wall measurement; the best
-  // repeat is the least-interrupted one, matching the fleet points).
-  ModelRegistry ref_registry = ModelRegistry::MidSizeMarket(8);
-  auto ref_trace =
-      GeneratePoisson(ref_registry, kRpsPerModel, kTraceHorizon, Dataset::ShareGpt(), kSeed);
-  AegaeonConfig ref_config;  // paper split: 6 prefill + 10 decode
-  double ref_eps = 0.0;
-  uint64_t ref_events = 0;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    AegaeonCluster reference(ref_config, ref_registry, GpuSpec::H800());
-    RunMetrics ref_metrics = reference.Run(ref_trace);
-    ref_eps = std::max(ref_eps, ref_metrics.sim.EventsPerSec());
-    ref_events = ref_metrics.sim.events_processed;
-  }
-  std::printf("reference 16-GPU cluster: %llu events -> %.0f ev/s\n",
-              static_cast<unsigned long long>(ref_events), ref_eps);
 
   const bool single_cell_ok = SingleCellMatchesPlainCluster();
   std::printf("\n");
@@ -290,24 +328,23 @@ int main(int argc, char** argv) {
       epochs_on > 0 ? static_cast<double>(epochs_off) / static_cast<double>(epochs_on) : 0.0;
 
   // Headline numbers for the regression gate.
-  double single_shard_eps = 0.0;   // largest pool, shards == 1
-  double best_large_speedup = 0.0; // best 8-shard speedup on pools >= 512
+  double best_large_speedup = 0.0;  // best 8-shard speedup on pools >= 512
   for (const PoolResult& pool : results) {
-    if (pool.gpus == pools.back()) {
-      single_shard_eps = pool.points[0].events_per_sec;
-    }
     if (pool.gpus >= 512) {
       best_large_speedup = std::max(best_large_speedup, pool.points.back().speedup);
     }
   }
-  const double fleet_ratio = ref_eps > 0.0 ? single_shard_eps / ref_eps : 0.0;
+  std::printf("\nsingle-shard %d-GPU fleet vs 16-GPU reference, %d alternating pairs:\n",
+              pools.back(), kRatioPairs);
+  const PairedRatio paired = MeasurePairedRatio(pools.back());
 
   std::printf("\nresults %s across shard counts and repeats\n",
               all_identical ? "bit-identical" : "DIVERGED (BUG)");
   std::printf("epoch reduction at %d GPUs: %llu -> %llu executed (%.2fx fewer)\n", kEpochGatePool,
               static_cast<unsigned long long>(epochs_off),
               static_cast<unsigned long long>(epochs_on), epoch_reduction);
-  std::printf("single-shard fleet ratio (vs 16-GPU reference): %.3f\n", fleet_ratio);
+  std::printf("single-shard fleet ratio (vs 16-GPU reference): %.3f (median of pairs)\n",
+              paired.ratio);
   std::printf("best 8-shard speedup at >=512 GPUs: %.2fx on %d cores\n", best_large_speedup,
               cores);
 
@@ -320,12 +357,14 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"hardware_concurrency\": %d,\n"
                "  \"repeats\": %d,\n"
+               "  \"ratio_pairs\": %d,\n"
                "  \"reference\": {\n"
                "    \"gpus\": 16,\n"
                "    \"events\": %llu,\n"
                "    \"events_per_sec\": %.0f\n"
                "  },\n",
-               cores, kRepeats, static_cast<unsigned long long>(ref_events), ref_eps);
+               cores, kRepeats, kRatioPairs, static_cast<unsigned long long>(paired.ref_events),
+               paired.ref_eps);
   std::fprintf(out, "  \"pools\": [\n");
   for (size_t p = 0; p < results.size(); ++p) {
     const PoolResult& pool = results[p];
@@ -367,8 +406,8 @@ int main(int argc, char** argv) {
                "}\n",
                all_identical ? "true" : "false", single_cell_ok ? "true" : "false",
                kEpochGatePool, static_cast<unsigned long long>(epochs_off),
-               static_cast<unsigned long long>(epochs_on), epoch_reduction, single_shard_eps,
-               fleet_ratio, best_large_speedup);
+               static_cast<unsigned long long>(epochs_on), epoch_reduction, paired.fleet_eps,
+               paired.ratio, best_large_speedup);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return (all_identical && single_cell_ok) ? 0 : 1;

@@ -35,7 +35,7 @@ double UnifiedCluster::KvBytesPerToken(ModelId model) const {
 RunMetrics UnifiedCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
   for (const DeployedModel& model : registry_.models()) {
-    model_cache_->Warm(model.id, model.spec.weight_bytes());
+    model_cache_->Load(model.id, model.spec.weight_bytes());
   }
   for (const ArrivalEvent& event : trace) {
     Request request;

@@ -273,7 +273,7 @@ void AegaeonCluster::BeginRun() {
   // warms caches before serving; overflow falls back to LRU + registry).
   for (NodeState& state : node_states_) {
     for (const DeployedModel& model : registry_.models()) {
-      state.model_cache->Warm(model.id, model.spec.weight_bytes());
+      state.model_cache->Load(model.id, model.spec.weight_bytes());
     }
   }
   for (const FailurePlan& plan : failure_plans_) {

@@ -148,7 +148,7 @@ ScaleResult AutoScaler::ScaleTo(const DeployedModel& target, TimePoint now, doub
     t += b.model_load;
     weight_buffer_.ResetKeepingFront(static_cast<uint64_t>(prefetched_shard_bytes_));
   } else {
-    ModelCache::LoadPlan plan = model_cache_.PrepareLoad(target.id, target.spec.weight_bytes());
+    ModelCache::LoadPlan plan = model_cache_.Load(target.id, target.spec.weight_bytes());
     t += plan.registry_fetch;
     double bw_fraction = level_ >= OptLevel::kExplicitMemory
                              ? gpu_.spec().pcie_efficiency
@@ -157,7 +157,6 @@ ScaleResult AutoScaler::ScaleTo(const DeployedModel& target, TimePoint now, doub
         gpu_.EnqueueCopy(gpu_.compute_stream(), t, shard, CopyDir::kHostToDevice, bw_fraction);
     b.model_load = plan.registry_fetch + (span.end - t);
     t = span.end;
-    model_cache_.Unpin(target.id);
     if (resident_capacity_ > 1) {
       // Hybrid mode: make room among the co-resident models instead of
       // resetting the whole buffer.
@@ -214,7 +213,7 @@ TimePoint AutoScaler::Prefetch(const DeployedModel& next, TimePoint now) {
                                              static_cast<double>(weight_buffer_.capacity())) {
     return kTimeNever;  // no headroom for a second resident model
   }
-  ModelCache::LoadPlan plan = model_cache_.Warm(next.id, next.spec.weight_bytes());
+  ModelCache::LoadPlan plan = model_cache_.Load(next.id, next.spec.weight_bytes());
   StreamSim::Span span = gpu_.EnqueueOptimizedCopy(gpu_.prefetch_stream(), now + plan.registry_fetch,
                                                    next.shard_bytes(), CopyDir::kHostToDevice);
   prefetch_done_ = gpu_.prefetch_stream().Record();

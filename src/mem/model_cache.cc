@@ -17,113 +17,91 @@ void ModelCache::EnableSsdTier(double ssd_capacity_bytes, double ssd_bw_bytes_pe
   ssd_bw_ = ssd_bw_bytes_per_s;
 }
 
-bool ModelCache::OnSsd(ModelId model) const { return ssd_entries_.count(model) > 0; }
+ModelCache::Slot& ModelCache::SlotFor(ModelId model) {
+  assert(model != kInvalidModel);
+  if (model >= slots_.size()) {
+    slots_.resize(static_cast<size_t>(model) + 1);
+  }
+  return slots_[model];
+}
 
-void ModelCache::DemoteToSsd(ModelId model, double bytes) {
+void ModelCache::Unlink(Tier tier, uint32_t id) {
+  Slot& slot = slots_[id];
+  const uint32_t prev = slot.prev[tier];
+  const uint32_t next = slot.next[tier];
+  (prev == kNil ? lru_[tier].front : slots_[prev].next[tier]) = next;
+  (next == kNil ? lru_[tier].back : slots_[next].prev[tier]) = prev;
+}
+
+void ModelCache::PushFront(Tier tier, uint32_t id) {
+  Slot& slot = slots_[id];
+  slot.prev[tier] = kNil;
+  slot.next[tier] = lru_[tier].front;
+  (lru_[tier].front == kNil ? lru_[tier].back : slots_[lru_[tier].front].prev[tier]) = id;
+  lru_[tier].front = id;
+}
+
+void ModelCache::DemoteToSsd(uint32_t id, double bytes) {
   if (ssd_capacity_ <= 0.0 || bytes > ssd_capacity_) {
     return;
   }
-  if (ssd_entries_.count(model) > 0) {
+  if (slots_[id].on_ssd) {
     return;  // already present; keep its LRU position
   }
-  while (ssd_used_ + bytes > ssd_capacity_ && !ssd_lru_.empty()) {
-    ModelId victim = ssd_lru_.back();
-    ssd_lru_.pop_back();
-    ssd_used_ -= ssd_entries_.at(victim);
-    ssd_entries_.erase(victim);
+  while (ssd_used_ + bytes > ssd_capacity_ && lru_[kSsd].back != kNil) {
+    const uint32_t victim = lru_[kSsd].back;
+    Unlink(kSsd, victim);
+    ssd_used_ -= slots_[victim].ssd_bytes;
+    slots_[victim].on_ssd = false;
   }
-  ssd_entries_.emplace(model, bytes);
-  ssd_lru_.push_front(model);
+  slots_[id].on_ssd = true;
+  slots_[id].ssd_bytes = bytes;
+  PushFront(kSsd, id);
   ssd_used_ += bytes;
 }
 
-void ModelCache::Touch(ModelId model) {
-  Entry& entry = entries_.at(model);
-  lru_.erase(entry.lru_pos);
-  lru_.push_front(model);
-  entry.lru_pos = lru_.begin();
-}
-
-bool ModelCache::EvictFor(double bytes) {
-  if (bytes > capacity_) {
-    return false;
-  }
-  while (used_ + bytes > capacity_) {
-    // Scan from the LRU end for an unpinned victim.
-    auto victim = lru_.end();
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      if (entries_.at(*it).pins == 0) {
-        victim = std::prev(it.base());
-        break;
-      }
-    }
-    if (victim == lru_.end()) {
-      return false;  // everything pinned
-    }
-    // Evicted checkpoints demote to the SSD tier (when enabled) so a later
-    // reload costs an NVMe read instead of a registry fetch.
-    DemoteToSsd(*victim, entries_.at(*victim).bytes);
-    used_ -= entries_.at(*victim).bytes;
-    entries_.erase(*victim);
-    lru_.erase(victim);
-    ++evictions_;
-  }
-  return true;
-}
-
-ModelCache::LoadPlan ModelCache::Insert(ModelId model, double bytes, bool pin) {
+ModelCache::LoadPlan ModelCache::Load(ModelId model, double bytes) {
   LoadPlan plan;
-  auto it = entries_.find(model);
-  if (it != entries_.end()) {
+  Slot& slot = SlotFor(model);  // no resize below, so the reference holds
+  if (slot.resident) {
     plan.cache_hit = true;
     ++hits_;
-    Touch(model);
-    if (pin) {
-      it->second.pins++;
-    }
+    Unlink(kDram, model);
+    PushFront(kDram, model);
     return plan;
   }
   ++misses_;
-  plan.cache_hit = false;
-  auto ssd_it = ssd_entries_.find(model);
-  if (ssd_it != ssd_entries_.end()) {
+  if (slot.on_ssd) {
     plan.ssd_hit = true;
     plan.registry_fetch = bytes / ssd_bw_;
     ++ssd_hits_;
     // Promote: bump SSD LRU position (the copy stays on SSD as well).
-    ssd_lru_.remove(model);
-    ssd_lru_.push_front(model);
+    Unlink(kSsd, model);
+    PushFront(kSsd, model);
   } else {
     plan.registry_fetch = bytes / remote_bw_;
   }
-  if (!EvictFor(bytes)) {
-    // Cannot cache (e.g. capacity exceeded by pins): the load still works,
-    // streaming straight through the stage buffer, but nothing is retained.
-    return plan;
+  if (bytes > capacity_) {
+    return plan;  // streams through the stage buffer; nothing is retained
   }
-  lru_.push_front(model);
-  Entry entry;
-  entry.bytes = bytes;
-  entry.pins = pin ? 1 : 0;
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(model, entry);
+  while (used_ + bytes > capacity_) {
+    const uint32_t victim = lru_[kDram].back;
+    if (victim == kNil) {
+      return plan;  // only rounding residue in used_ is left; do not retain
+    }
+    // Evicted checkpoints demote to the SSD tier (when enabled) so a later
+    // reload costs an NVMe read instead of a registry fetch.
+    DemoteToSsd(victim, slots_[victim].bytes);
+    used_ -= slots_[victim].bytes;
+    slots_[victim].resident = false;
+    Unlink(kDram, victim);
+    ++evictions_;
+  }
+  slot.resident = true;
+  slot.bytes = bytes;
+  PushFront(kDram, model);
   used_ += bytes;
   return plan;
-}
-
-ModelCache::LoadPlan ModelCache::PrepareLoad(ModelId model, double bytes) {
-  return Insert(model, bytes, /*pin=*/true);
-}
-
-void ModelCache::Unpin(ModelId model) {
-  auto it = entries_.find(model);
-  if (it != entries_.end() && it->second.pins > 0) {
-    it->second.pins--;
-  }
-}
-
-ModelCache::LoadPlan ModelCache::Warm(ModelId model, double bytes) {
-  return Insert(model, bytes, /*pin=*/false);
 }
 
 }  // namespace aegaeon

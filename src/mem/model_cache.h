@@ -9,13 +9,24 @@
 //
 // This class makes placement/eviction decisions and reports fetch latencies;
 // the engine's auto-scaler turns them into simulated transfers.
+//
+// Layout: one dense slot per ModelId (ids are dense, ModelRegistry::Add
+// hands out models_.size()), grown on first touch. Each slot carries its
+// DRAM and SSD state plus prev/next indices into two intrusive LRU lists,
+// one per tier, so a hit, a promotion, an eviction and a demotion are each
+// an unlink plus a link at the front: O(1), and ordered by plain indices,
+// never by hash iteration (aegaeon_lint's unordered-container rule).
+//
+// There are no pins. Each loader (AutoScaler::ScaleTo and Prefetch) reads
+// the plan and enqueues the host-to-device copy in one synchronous call,
+// with no event in between, so no other Load runs while a checkpoint is
+// being copied out and the eviction victim is always the DRAM LRU tail.
 
 #ifndef AEGAEON_MEM_MODEL_CACHE_H_
 #define AEGAEON_MEM_MODEL_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
+#include <vector>
 
 #include "model/registry.h"
 #include "sim/time.h"
@@ -41,19 +52,14 @@ class ModelCache {
   };
 
   // Ensures `model`'s checkpoint (`bytes` large) is resident, evicting
-  // least-recently-used unpinned entries as needed, and returns how long
-  // residency takes to establish. Also bumps the entry's recency and pins it
-  // until Unpin() (a model being copied to a GPU must not be evicted).
-  LoadPlan PrepareLoad(ModelId model, double bytes);
+  // least-recently-used entries as needed, bumps its recency, and returns
+  // how long residency takes to establish. Used for loads, prefetches and
+  // pre-staging alike. A checkpoint larger than the cache streams straight
+  // through the stage buffer and is not retained.
+  LoadPlan Load(ModelId model, double bytes);
 
-  // Releases the loading pin taken by PrepareLoad.
-  void Unpin(ModelId model);
-
-  // Asynchronously warms the cache (used before serving starts and by the
-  // prefetcher). Follows the same eviction policy; does not pin.
-  LoadPlan Warm(ModelId model, double bytes);
-
-  bool Resident(ModelId model) const { return entries_.count(model) > 0; }
+  bool Resident(ModelId model) const { return model < slots_.size() && slots_[model].resident; }
+  bool OnSsd(ModelId model) const { return model < slots_.size() && slots_[model].on_ssd; }
   double used_bytes() const { return used_; }
   double capacity_bytes() const { return capacity_; }
 
@@ -61,30 +67,36 @@ class ModelCache {
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
   uint64_t ssd_hits() const { return ssd_hits_; }
-  bool OnSsd(ModelId model) const;
   double ssd_used_bytes() const { return ssd_used_; }
 
  private:
-  struct Entry {
-    double bytes = 0.0;
-    int pins = 0;
-    std::list<ModelId>::iterator lru_pos;
+  enum Tier { kDram = 0, kSsd = 1 };
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  struct Slot {
+    double bytes = 0.0;      // DRAM copy size, valid while `resident`
+    double ssd_bytes = 0.0;  // SSD copy size, valid while `on_ssd`
+    bool resident = false;
+    bool on_ssd = false;
+    uint32_t prev[2] = {kNil, kNil};  // toward the front of lru_[tier]
+    uint32_t next[2] = {kNil, kNil};  // toward the back (least recent)
+  };
+  struct Lru {
+    uint32_t front = kNil;  // most recent
+    uint32_t back = kNil;   // eviction victim
   };
 
-  // Makes room for `bytes`; returns false if impossible (too many pins).
-  bool EvictFor(double bytes);
-  LoadPlan Insert(ModelId model, double bytes, bool pin);
-  void Touch(ModelId model);
+  Slot& SlotFor(ModelId model);
+  void Unlink(Tier tier, uint32_t id);
+  void PushFront(Tier tier, uint32_t id);
   // Writes an evicted checkpoint to the SSD tier (LRU within the tier).
-  void DemoteToSsd(ModelId model, double bytes);
+  void DemoteToSsd(uint32_t id, double bytes);
 
   double capacity_;
   double remote_bw_;
   double used_ = 0.0;
-  // Ordered maps: eviction decisions must not depend on hash iteration
-  // order (aegaeon_lint's unordered-container rule).
-  std::map<ModelId, Entry> entries_;
-  std::list<ModelId> lru_;  // front = most recent
+  std::vector<Slot> slots_;  // indexed by ModelId
+  Lru lru_[2];
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
@@ -93,8 +105,6 @@ class ModelCache {
   double ssd_capacity_ = 0.0;
   double ssd_bw_ = 0.0;
   double ssd_used_ = 0.0;
-  std::map<ModelId, double> ssd_entries_;  // model -> bytes
-  std::list<ModelId> ssd_lru_;
   uint64_t ssd_hits_ = 0;
 };
 

@@ -8,15 +8,8 @@
 namespace aegaeon {
 
 SlabAllocator::SlabAllocator(uint64_t total_bytes, uint64_t slab_bytes)
-    : slab_bytes_(slab_bytes) {
+    : slab_bytes_(slab_bytes), total_slabs_(static_cast<size_t>(total_bytes / slab_bytes)) {
   assert(slab_bytes > 0);
-  size_t slab_count = static_cast<size_t>(total_bytes / slab_bytes);
-  slabs_.resize(slab_count);
-  free_slabs_.reserve(slab_count);
-  // Pop from the back; seed in reverse so slab 0 is used first.
-  for (size_t i = slab_count; i-- > 0;) {
-    free_slabs_.push_back(static_cast<uint32_t>(i));
-  }
 }
 
 SlabAllocator::~SlabAllocator() { simsan::NoteAllocatorDestroyed(this); }
@@ -37,21 +30,22 @@ bool SlabAllocator::RegisterShape(ShapeClassId shape, uint64_t block_bytes) {
 }
 
 int32_t SlabAllocator::AcquireSlab(ShapeClassId shape) {
-  if (free_slabs_.empty()) {
+  uint32_t slab_id;
+  if (!returned_slabs_.empty()) {
+    slab_id = returned_slabs_.back();
+    returned_slabs_.pop_back();
+  } else if (slabs_.size() < total_slabs_) {
+    slab_id = static_cast<uint32_t>(slabs_.size());
+    slabs_.emplace_back();
+  } else {
     return -1;
   }
-  uint32_t slab_id = free_slabs_.back();
-  free_slabs_.pop_back();
   ShapeState& state = shape_states_[shape];
   Slab& slab = slabs_[slab_id];
   slab.shape = shape;
   slab.block_capacity = static_cast<uint32_t>(slab_bytes_ / state.block_bytes);
   slab.used_count = 0;
-  slab.free_indices.clear();
-  slab.free_indices.reserve(slab.block_capacity);
-  for (uint32_t i = slab.block_capacity; i-- > 0;) {
-    slab.free_indices.push_back(i);
-  }
+  slab.fresh = 0;
   state.held_slabs++;
   state.partial_slabs.push_back(slab_id);
   return static_cast<int32_t>(slab_id);
@@ -71,7 +65,7 @@ std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
     while (!state.partial_slabs.empty()) {
       uint32_t candidate = state.partial_slabs.back();
       Slab& slab = slabs_[candidate];
-      if (slab.shape == shape && !slab.free_indices.empty()) {
+      if (slab.shape == shape && slab.HasFree()) {
         slab_id = static_cast<int32_t>(candidate);
         break;
       }
@@ -88,14 +82,19 @@ std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
       return {};
     }
     Slab& slab = slabs_[slab_id];
-    while (blocks.size() < count && !slab.free_indices.empty()) {
-      uint32_t index = slab.free_indices.back();
-      slab.free_indices.pop_back();
+    while (blocks.size() < count && slab.HasFree()) {
+      uint32_t index;
+      if (!slab.returned.empty()) {
+        index = slab.returned.back();
+        slab.returned.pop_back();
+      } else {
+        index = slab.fresh++;
+      }
       slab.used_count++;
       state.used_blocks++;  // counted per block so a rollback stays balanced
       blocks.push_back(BlockRef{static_cast<uint32_t>(slab_id), index});
     }
-    if (slab.free_indices.empty() && !state.partial_slabs.empty() &&
+    if (!slab.HasFree() && !state.partial_slabs.empty() &&
         state.partial_slabs.back() == static_cast<uint32_t>(slab_id)) {
       state.partial_slabs.pop_back();
     }
@@ -112,15 +111,15 @@ void SlabAllocator::FreeOne(BlockRef block) {
   assert(slab.shape != Slab::kUnassigned && "freeing into an unassigned slab");
   assert(slab.used_count > 0);
   ShapeState& state = shape_states_[slab.shape];
-  slab.free_indices.push_back(block.index);
+  slab.returned.push_back(block.index);
   slab.used_count--;
   state.used_blocks--;
   if (slab.used_count == 0) {
     // Reclaim: the slab returns to the free pool and can serve any shape.
     state.held_slabs--;
     slab.shape = Slab::kUnassigned;
-    slab.free_indices.clear();
-    free_slabs_.push_back(block.slab);
+    slab.returned.clear();
+    returned_slabs_.push_back(block.slab);
   } else {
     state.partial_slabs.push_back(block.slab);
   }

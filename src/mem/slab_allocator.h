@@ -52,8 +52,8 @@ class SlabAllocator {
   void FreeOne(BlockRef block);
 
   // --- Introspection ----------------------------------------------------
-  size_t total_slabs() const { return slabs_.size(); }
-  size_t free_slabs() const { return free_slabs_.size(); }
+  size_t total_slabs() const { return total_slabs_; }
+  size_t free_slabs() const { return returned_slabs_.size() + (total_slabs_ - slabs_.size()); }
   uint64_t slab_bytes() const { return slab_bytes_; }
 
   // Blocks of `shape` currently allocated.
@@ -85,12 +85,17 @@ class SlabAllocator {
   ShapeStats overall_stats() const;
 
  private:
+  // Free blocks are handed out returned-first (LIFO), then fresh in
+  // ascending index order, the order a fully seeded free stack would give.
   struct Slab {
     static constexpr ShapeClassId kUnassigned = static_cast<ShapeClassId>(-1);
     ShapeClassId shape = kUnassigned;
-    std::vector<uint32_t> free_indices;
+    std::vector<uint32_t> returned;  // freed block indices, a stack
+    uint32_t fresh = 0;              // indices >= fresh were never handed out
     uint32_t used_count = 0;
     uint32_t block_capacity = 0;
+
+    bool HasFree() const { return !returned.empty() || fresh < block_capacity; }
   };
 
   struct ShapeState {
@@ -109,8 +114,12 @@ class SlabAllocator {
   void UpdateGlobalPeak();
 
   uint64_t slab_bytes_;
+  size_t total_slabs_;
+  // Slabs ever handed out; its size is the fresh-slab high-water mark.
   std::vector<Slab> slabs_;
-  std::vector<uint32_t> free_slabs_;
+  // Free slabs go out in the same order as blocks: reclaimed ones first
+  // (LIFO), then fresh ones from slabs_.size() upward.
+  std::vector<uint32_t> returned_slabs_;
   // Dense, indexed by ShapeClassId; a slot is registered iff block_bytes != 0.
   // Keeps iteration order deterministic (the determinism lint forbids
   // unordered containers on scheduling/accounting paths).

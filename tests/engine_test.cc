@@ -47,7 +47,7 @@ class AutoScalerTest : public ::testing::Test {
         latency_(GpuSpec::H800()),
         cache_(1536.0 * kGiB, 1.2e9) {
     for (const DeployedModel& model : registry_.models()) {
-      cache_.Warm(model.id, model.spec.weight_bytes());
+      cache_.Load(model.id, model.spec.weight_bytes());
     }
   }
 
@@ -164,8 +164,8 @@ TEST_F(AutoScalerTest, PrefetchRespectsBufferHeadroom) {
   ModelRegistry big;
   big.Add(ModelSpec::Llama13B(), 1, SloSpec::Chatbot());   // 26 GB
   big.Add(ModelSpec::Qwen14B(), 1, SloSpec::Chatbot());    // 28 GB
-  cache_.Warm(big.Get(0).id, big.Get(0).spec.weight_bytes());
-  cache_.Warm(big.Get(1).id, big.Get(1).spec.weight_bytes());
+  cache_.Load(big.Get(0).id, big.Get(0).spec.weight_bytes());
+  cache_.Load(big.Get(1).id, big.Get(1).spec.weight_bytes());
   GpuDevice gpu(0, GpuSpec::H800());
   AutoScaler scaler(gpu, latency_, cache_, EngineCostModel{}, OptLevel::kFineGrainedSync,
                     kWeightBuffer, kPinPool);
